@@ -3,6 +3,8 @@
 // via google-benchmark.
 #include <benchmark/benchmark.h>
 
+#include "bignum/montgomery.hpp"
+#include "bignum/primes.hpp"
 #include "crypto/aes.hpp"
 #include "crypto/ecdsa.hpp"
 #include "crypto/ripemd160.hpp"
@@ -61,6 +63,44 @@ void BM_RsaKeygen(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RsaKeygen)->Arg(512)->Arg(1024)->Unit(benchmark::kMillisecond);
+
+// Keygen split: where one RSA-512 key's time goes. A key is two 256-bit
+// generate_prime calls; each sieves a window, then pays one Miller-Rabin
+// round per sieve survivor that turns out composite and all rounds for the
+// prime it returns, each round on a freshly constructed local context.
+void BM_GeneratePrime256(benchmark::State& state) {
+  util::Rng rng(14);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bignum::generate_prime(rng, 256));
+  }
+}
+BENCHMARK(BM_GeneratePrime256)->Unit(benchmark::kMicrosecond);
+
+void BM_MillerRabinRound256(benchmark::State& state) {
+  util::Rng rng(15);
+  const bignum::BigUint p = bignum::generate_prime(rng, 256);
+  const bignum::BigUint p_minus_1 = p - bignum::BigUint(1);
+  std::size_t r = 1;
+  while (!p_minus_1.bit(r)) ++r;
+  const bignum::BigUint d = p_minus_1 >> r;
+  const bignum::MontgomeryCtx ctx(p);
+  const bignum::BigUint base =
+      bignum::BigUint::random_below(rng, p - bignum::BigUint(3)) +
+      bignum::BigUint(2);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ctx.strong_probable_prime(base, d, r));
+  }
+}
+BENCHMARK(BM_MillerRabinRound256);
+
+void BM_MontgomeryCtx256(benchmark::State& state) {
+  util::Rng rng(16);
+  const bignum::BigUint p = bignum::generate_prime(rng, 256);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bignum::MontgomeryCtx(p));
+  }
+}
+BENCHMARK(BM_MontgomeryCtx256);
 
 void BM_RsaEncryptBlob(benchmark::State& state) {
   util::Rng rng(7);

@@ -268,6 +268,14 @@ std::pair<BigUint, BigUint> BigUint::divmod(const BigUint& a, const BigUint& b) 
   return {std::move(q), std::move(r)};
 }
 
+std::uint32_t BigUint::mod_word(std::uint32_t d) const {
+  if (d == 0) throw std::domain_error("BigUint: division by zero");
+  std::uint64_t rem = 0;
+  for (std::size_t i = limbs_.size(); i-- > 0;)
+    rem = ((rem << 32) | limbs_[i]) % d;
+  return static_cast<std::uint32_t>(rem);
+}
+
 BigUint operator/(const BigUint& a, const BigUint& b) {
   return BigUint::divmod(a, b).first;
 }
@@ -314,7 +322,7 @@ BigUint BigUint::mod_exp_crt(const BigUint& base, const BigUint& dp,
 }
 
 BigUint BigUint::mod_mul(const BigUint& a, const BigUint& b, const BigUint& m) {
-  // The two-CIOS Montgomery product beats multiply-then-divide once the
+  // The two-pass Montgomery product beats multiply-then-divide once the
   // modulus is wide enough to make Knuth division (and its allocations) the
   // dominant cost; below that the basic path wins.
   if (!m.is_even() && m.bit_length() >= 128) {

@@ -80,6 +80,9 @@ class BigUint {
 
   /// Quotient and remainder in one pass. Throws std::domain_error on b == 0.
   static std::pair<BigUint, BigUint> divmod(const BigUint& a, const BigUint& b);
+  /// This value mod a nonzero machine word, in word arithmetic (no
+  /// allocation). Throws std::domain_error on d == 0.
+  std::uint32_t mod_word(std::uint32_t d) const;
 
   /// (base ^ exp) mod m. Routed through the Montgomery fast path for odd
   /// multi-limb moduli (see bignum/montgomery.hpp); otherwise falls back to
@@ -95,7 +98,7 @@ class BigUint {
   /// exponentiations (dp = d mod p-1, dq = d mod q-1, each routed through
   /// the Montgomery fast path for its own prime) recombined with Garner's
   /// formula using qinv = q^-1 mod p. Roughly 4x cheaper than a full-width
-  /// mod_exp because CIOS cost scales with limbs^2 * exponent bits. The
+  /// mod_exp because Montgomery cost scales with limbs^2 * exponent bits. The
   /// caller owns correctness of (dp, dq, qinv) — RSA callers re-check the
   /// result against the public exponent so a miscomputation cannot escape
   /// (crypto/rsa.cpp); differential tests pit this against mod_exp.
@@ -122,7 +125,7 @@ class BigUint {
   static BigUint random_below(util::Rng& rng, const BigUint& bound);
 
  private:
-  friend class MontgomeryCtx;  // raw limb access for CIOS multiplication
+  friend class MontgomeryCtx;  // raw limb access for Montgomery multiplication
 
   void trim() noexcept;
   std::vector<std::uint32_t> limbs_;  // little-endian, normalized

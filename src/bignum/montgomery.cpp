@@ -1,5 +1,6 @@
 #include "bignum/montgomery.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <stdexcept>
 #include <utility>
@@ -8,16 +9,75 @@ namespace bcwan::bignum {
 
 namespace {
 
+using Limb = std::uint64_t;
+using Wide = unsigned __int128;
+
 std::atomic<bool> g_montgomery_enabled{true};
 
-/// Inverse of an odd 32-bit value mod 2^32 by Newton iteration: each step
-/// doubles the number of correct low bits; five steps from a 1-bit seed
-/// cover all 32.
-std::uint32_t inv32(std::uint32_t odd) {
-  std::uint32_t x = odd;  // correct to 3 bits for odd inputs
-  for (int i = 0; i < 4; ++i) x *= 2 - odd * x;
+/// Inverse of an odd 64-bit value mod 2^64 by Newton iteration: each step
+/// doubles the number of correct low bits; five steps from the 3 bits an
+/// odd value is correct to cover all 64.
+Limb inv64(Limb odd) {
+  Limb x = odd;
+  for (int i = 0; i < 5; ++i) x *= 2 - odd * x;
   return x;
 }
+
+/// out = a - b over n limbs; returns the borrow out of the top limb.
+Limb sub_limbs(const Limb* a, const Limb* b, Limb* out, std::size_t n) {
+  Limb borrow = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Limb diff = a[i] - b[i];
+    const Limb next = (a[i] < b[i]) | (diff < borrow);
+    out[i] = diff - borrow;
+    borrow = next;
+  }
+  return borrow;
+}
+
+/// A 192-bit column accumulator: a column sums at most 2n products of two
+/// limbs, so it needs 128 + log2(2n) bits.
+struct Column {
+  Wide low = 0;
+  Limb high = 0;
+
+  void add(Limb x, Limb y) {
+    const Wide p = static_cast<Wide>(x) * y;
+    low += p;
+    high += low < p;
+  }
+  /// Returns the bottom limb and shifts the accumulator down one limb.
+  Limb shift() {
+    const Limb out = static_cast<Limb>(low);
+    low = (low >> 64) | (static_cast<Wide>(high) << 64);
+    high = 0;
+    return out;
+  }
+};
+
+/// Limb scratch on the stack for moduli up to kStackModLimbs (2048 bits),
+/// on the heap beyond. The largest user, strong_probable_prime, needs
+/// 20 * limbs. Left uninitialized: every user writes a region before it
+/// reads it, and zeroing 5 KB would cost more than a 256-bit mod_mul.
+class Scratch {
+ public:
+  explicit Scratch(std::size_t n) {
+    if (n > kCapacity) {
+      heap_.resize(n);
+      ptr_ = heap_.data();
+    }
+  }
+  Scratch(const Scratch&) = delete;
+  Scratch& operator=(const Scratch&) = delete;
+  Limb* data() noexcept { return ptr_; }
+
+ private:
+  static constexpr std::size_t kStackModLimbs = 32;
+  static constexpr std::size_t kCapacity = 20 * kStackModLimbs;
+  Limb stack_[kCapacity];
+  std::vector<Limb> heap_;
+  Limb* ptr_ = stack_;
+};
 
 constexpr std::size_t kCtxCacheCap = 64;
 
@@ -34,142 +94,159 @@ void set_montgomery_enabled(bool enabled) noexcept {
 MontgomeryCtx::MontgomeryCtx(const BigUint& modulus) : m_(modulus) {
   if (m_.is_zero() || m_.is_one() || m_.is_even())
     throw std::domain_error("MontgomeryCtx: modulus must be odd and > 1");
-  mod_limbs_ = m_.limbs_;
-  n0inv_ = ~inv32(mod_limbs_[0]) + 1;  // -m[0]^-1 mod 2^32
-  const std::size_t n = mod_limbs_.size();
-  r1_ = to_padded((BigUint(1) << (32 * n)) % m_);
-  r2_ = to_padded((BigUint(1) << (64 * n)) % m_);
+  const std::size_t n = (m_.limbs_.size() + 1) / 2;
+  mod_limbs_.assign(n, 0);
+  for (std::size_t i = 0; i < m_.limbs_.size(); ++i)
+    mod_limbs_[i / 2] |= static_cast<Limb>(m_.limbs_[i]) << (32 * (i % 2));
+  n0inv_ = 0 - inv64(mod_limbs_[0]);  // -m[0]^-1 mod 2^64
+  r1_.resize(n);
+  r2_.resize(n);
+  load((BigUint(1) << (64 * n)) % m_, r1_.data());
+  load((BigUint(1) << (128 * n)) % m_, r2_.data());
 }
 
-std::vector<std::uint32_t> MontgomeryCtx::to_padded(const BigUint& v) const {
-  std::vector<std::uint32_t> out(mod_limbs_.size(), 0);
-  for (std::size_t i = 0; i < v.limbs_.size(); ++i) out[i] = v.limbs_[i];
-  return out;
+void MontgomeryCtx::load(const BigUint& v, Limb* out) const {
+  if (BigUint::compare(v, m_) >= 0) {
+    load(v % m_, out);
+    return;
+  }
+  std::fill_n(out, limbs(), Limb{0});
+  for (std::size_t i = 0; i < v.limbs_.size(); ++i)
+    out[i / 2] |= static_cast<Limb>(v.limbs_[i]) << (32 * (i % 2));
 }
 
-BigUint MontgomeryCtx::from_limbs(const std::uint32_t* v) const {
+BigUint MontgomeryCtx::store(const Limb* v) const {
   BigUint out;
-  out.limbs_.assign(v, v + limbs());
+  out.limbs_.resize(2 * limbs());
+  for (std::size_t i = 0; i < limbs(); ++i) {
+    out.limbs_[2 * i] = static_cast<std::uint32_t>(v[i]);
+    out.limbs_[2 * i + 1] = static_cast<std::uint32_t>(v[i] >> 32);
+  }
   out.trim();
   return out;
 }
 
-void MontgomeryCtx::mont_mul(const std::uint32_t* a, const std::uint32_t* b,
-                             std::uint32_t* out, std::uint32_t* t) const {
-  // CIOS (Koç/Acar/Kaliski): interleave the a_i*b partial product with one
-  // Montgomery reduction step per outer iteration; t holds n+2 limbs and
-  // stays < 2m at the end, so one conditional subtract finishes.
+void MontgomeryCtx::mont_mul(const Limb* a, const Limb* b, Limb* out,
+                             Limb* t) const {
+  // Product scanning with the reduction folded into the same columns
+  // (Koç/Acar/Kaliski's FIPS): column i sums a_j*b_(i-j) + u_j*m_(i-j) in
+  // a 192-bit accumulator, and for i < n picks u_i = low limb * n0' so the
+  // column's low limb cancels. Columns n..2n-1 are the result, which is
+  // < 2m, so one conditional subtract finishes. Independent products in a
+  // column keep the multiplier busy, where operand scanning waits on a
+  // carry chain per limb.
   const std::size_t n = limbs();
-  const std::uint32_t* m = mod_limbs_.data();
-  for (std::size_t i = 0; i < n + 2; ++i) t[i] = 0;
-
+  const Limb* m = mod_limbs_.data();
+  Limb* u = t;  // u_0..u_(n-1), then overwritten by the result limbs
+  Column acc;
   for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t ai = a[i];
-    std::uint64_t carry = 0;
-    for (std::size_t j = 0; j < n; ++j) {
-      const std::uint64_t cur = t[j] + ai * b[j] + carry;
-      t[j] = static_cast<std::uint32_t>(cur);
-      carry = cur >> 32;
+    for (std::size_t j = 0; j < i; ++j) {
+      acc.add(a[j], b[i - j]);
+      acc.add(u[j], m[i - j]);
     }
-    std::uint64_t cur = t[n] + carry;
-    t[n] = static_cast<std::uint32_t>(cur);
-    t[n + 1] = static_cast<std::uint32_t>(cur >> 32);
-
-    const std::uint32_t mi = t[0] * n0inv_;
-    cur = t[0] + static_cast<std::uint64_t>(mi) * m[0];
-    carry = cur >> 32;  // low limb is zero by construction of mi
-    for (std::size_t j = 1; j < n; ++j) {
-      cur = t[j] + static_cast<std::uint64_t>(mi) * m[j] + carry;
-      t[j - 1] = static_cast<std::uint32_t>(cur);
-      carry = cur >> 32;
+    acc.add(a[i], b[0]);
+    u[i] = static_cast<Limb>(acc.low) * n0inv_;
+    acc.add(u[i], m[0]);
+    acc.shift();  // zero by choice of u_i
+  }
+  for (std::size_t i = n; i < 2 * n; ++i) {
+    for (std::size_t j = i - n + 1; j < n; ++j) {
+      acc.add(a[j], b[i - j]);
+      acc.add(u[j], m[i - j]);
     }
-    cur = t[n] + carry;
-    t[n - 1] = static_cast<std::uint32_t>(cur);
-    t[n] = t[n + 1] + static_cast<std::uint32_t>(cur >> 32);
+    u[i - n] = acc.shift();  // u_(i-n) is no longer needed
   }
 
-  // t may be in [0, 2m): subtract m once if t >= m.
-  bool ge = t[n] != 0;
-  if (!ge) {
-    ge = true;
-    for (std::size_t i = n; i-- > 0;) {
-      if (t[i] != m[i]) {
-        ge = t[i] > m[i];
-        break;
-      }
+  // The result may be in [m, 2m): subtract m once if so. A borrow out of
+  // the low n limbs is absorbed by the top limb exactly when it is >= m.
+  const Limb top = static_cast<Limb>(acc.low);
+  const Limb borrow = sub_limbs(u, m, out, n);
+  if (top == 0 && borrow != 0) std::copy_n(u, n, out);
+}
+
+void MontgomeryCtx::mont_pow(const Limb* base, const BigUint& exp, Limb* out,
+                             Limb* scratch) const {
+  const std::size_t n = limbs();
+  // 16-entry window table in the Montgomery domain: tab[k] = base^k * R.
+  Limb* tab = scratch;
+  Limb* t = scratch + 16 * n;
+  std::copy_n(r1_.data(), n, tab);           // base^0
+  mont_mul(base, r2_.data(), tab + n, t);    // base^1
+  for (std::size_t k = 2; k < 16; ++k)
+    mont_mul(tab + (k - 1) * n, tab + n, tab + k * n, t);
+
+  std::copy_n(r1_.data(), n, out);  // 1 in Montgomery form
+  const std::size_t windows = (exp.bit_length() + 3) / 4;
+  bool started = false;
+  for (std::size_t w = windows; w-- > 0;) {
+    if (started) {
+      for (int s = 0; s < 4; ++s) mont_mul(out, out, out, t);
     }
-  }
-  if (ge) {
-    std::int64_t borrow = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      std::int64_t diff =
-          static_cast<std::int64_t>(t[i]) - m[i] - borrow;
-      if (diff < 0) {
-        diff += static_cast<std::int64_t>(1) << 32;
-        borrow = 1;
-      } else {
-        borrow = 0;
-      }
-      out[i] = static_cast<std::uint32_t>(diff);
+    std::size_t win = 0;
+    for (std::size_t b = 0; b < 4; ++b) {
+      if (exp.bit(4 * w + b)) win |= std::size_t{1} << b;
     }
-  } else {
-    for (std::size_t i = 0; i < n; ++i) out[i] = t[i];
+    if (win != 0) {
+      mont_mul(out, tab + win * n, out, t);
+      started = true;
+    }
   }
 }
 
 BigUint MontgomeryCtx::mod_mul(const BigUint& a, const BigUint& b) const {
-  const std::vector<std::uint32_t> av =
-      to_padded(BigUint::compare(a, m_) >= 0 ? a % m_ : a);
-  const std::vector<std::uint32_t> bv =
-      to_padded(BigUint::compare(b, m_) >= 0 ? b % m_ : b);
   const std::size_t n = limbs();
-  std::vector<std::uint32_t> scratch(2 * n + 2);
-  std::uint32_t* ar = scratch.data();      // a*R
-  std::uint32_t* t = scratch.data() + n;   // CIOS scratch, n+2
-  mont_mul(av.data(), r2_.data(), ar, t);  // aR = mont(a, R^2)
-  std::vector<std::uint32_t> out(n);
-  mont_mul(ar, bv.data(), out.data(), t);  // ab = mont(aR, b)
-  return from_limbs(out.data());
+  Scratch s(4 * n);
+  Limb* av = s.data();
+  Limb* bv = av + n;
+  Limb* ar = bv + n;  // a*R, then the product
+  Limb* t = ar + n;   // mont_mul scratch
+  load(a, av);
+  load(b, bv);
+  mont_mul(av, r2_.data(), ar, t);  // aR = mont(a, R^2)
+  mont_mul(ar, bv, ar, t);          // ab = mont(aR, b)
+  return store(ar);
 }
 
 BigUint MontgomeryCtx::mod_exp(const BigUint& base, const BigUint& exp) const {
-  const std::size_t n = limbs();
   if (exp.is_zero()) return BigUint(1);  // m > 1, so 1 mod m == 1
-  const std::vector<std::uint32_t> bv =
-      to_padded(BigUint::compare(base, m_) >= 0 ? base % m_ : base);
-
-  std::vector<std::uint32_t> t(n + 2);
-  // 16-entry window table in the Montgomery domain: table[k] = base^k * R.
-  std::vector<std::uint32_t> table(16 * n);
-  std::uint32_t* tab = table.data();
-  for (std::size_t i = 0; i < n; ++i) tab[i] = r1_[i];          // base^0
-  mont_mul(bv.data(), r2_.data(), tab + n, t.data());           // base^1
-  for (std::size_t k = 2; k < 16; ++k)
-    mont_mul(tab + (k - 1) * n, tab + n, tab + k * n, t.data());
-
-  std::vector<std::uint32_t> acc(r1_);  // 1 in Montgomery form
-  const std::size_t bits = exp.bit_length();
-  const std::size_t windows = (bits + 3) / 4;
-  bool started = false;
-  for (std::size_t w = windows; w-- > 0;) {
-    if (started) {
-      for (int s = 0; s < 4; ++s)
-        mont_mul(acc.data(), acc.data(), acc.data(), t.data());
-    }
-    std::uint32_t win = 0;
-    for (std::size_t b = 0; b < 4; ++b) {
-      if (exp.bit(4 * w + b)) win |= 1u << b;
-    }
-    if (win != 0) {
-      mont_mul(acc.data(), tab + win * n, acc.data(), t.data());
-      started = true;
-    }
-  }
+  const std::size_t n = limbs();
+  Scratch s(19 * n);
+  Limb* bv = s.data();
+  Limb* acc = bv + n;
+  Limb* scratch = acc + n;
+  load(base, bv);
+  mont_pow(bv, exp, acc, scratch);
   // Leave the Montgomery domain: mont(acc, 1) = acc * R^-1.
-  std::vector<std::uint32_t> one(n, 0);
-  one[0] = 1;
-  mont_mul(acc.data(), one.data(), acc.data(), t.data());
-  return from_limbs(acc.data());
+  std::fill_n(bv, n, Limb{0});
+  bv[0] = 1;
+  mont_mul(acc, bv, acc, scratch);
+  return store(acc);
+}
+
+bool MontgomeryCtx::strong_probable_prime(const BigUint& base,
+                                          const BigUint& d,
+                                          std::size_t r) const {
+  const std::size_t n = limbs();
+  Scratch s(20 * n);
+  Limb* bv = s.data();
+  Limb* x = bv + n;
+  Limb* minus_one = x + n;  // m - 1 in Montgomery form: m - R mod m
+  Limb* scratch = minus_one + n;
+  const Limb* one = r1_.data();
+  sub_limbs(mod_limbs_.data(), one, minus_one, n);
+  const auto equal = [n](const Limb* u, const Limb* v) {
+    return std::equal(u, u + n, v);
+  };
+
+  load(base, bv);
+  mont_pow(bv, d, x, scratch);
+  if (equal(x, one) || equal(x, minus_one)) return true;
+  for (std::size_t i = 1; i < r; ++i) {
+    mont_mul(x, x, x, scratch);
+    if (equal(x, minus_one)) return true;
+    if (equal(x, one)) return false;  // a square root of 1 other than +-1
+  }
+  return false;
 }
 
 std::shared_ptr<const MontgomeryCtx> MontgomeryCtx::cached(

@@ -45,10 +45,10 @@ Jacobian to_jacobian(const EcPoint& p) {
 }
 
 // Field multiply: BigUint::mod_mul routes through the thread-local cached
-// Montgomery context for the (fixed, odd) secp256k1 prime — one CIOS pass
-// pair instead of a schoolbook multiply plus Knuth division. Small-constant
-// products (2x, 3x, 4x, 8x) become modular doublings so every operand stays
-// reduced.
+// Montgomery context for the (fixed, odd) secp256k1 prime — one Montgomery
+// pass pair instead of a schoolbook multiply plus Knuth division.
+// Small-constant products (2x, 3x, 4x, 8x) become modular doublings so every
+// operand stays reduced.
 BigUint fe_mul(const BigUint& a, const BigUint& b) {
   return BigUint::mod_mul(a, b, field_p());
 }

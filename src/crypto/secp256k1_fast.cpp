@@ -67,9 +67,9 @@ bool fe_is_zero(const Fe& a) {
   return acc == 0;
 }
 
-/// out = a * b * R^-1 mod p — single CIOS pass, fixed 8 limbs, stack
-/// scratch. Same algorithm as MontgomeryCtx::mont_mul, specialized so the
-/// compiler can fully unroll against the constant modulus.
+/// out = a * b * R^-1 mod p — single CIOS (operand-scanning) pass, fixed
+/// 8x32-bit limbs, stack scratch, so the compiler can fully unroll against
+/// the constant modulus.
 void fe_mul(const Fe& a, const Fe& b, Fe& out) {
   std::uint32_t t[kLimbs + 2] = {0};
   for (std::size_t i = 0; i < kLimbs; ++i) {

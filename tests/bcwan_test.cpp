@@ -414,16 +414,19 @@ TEST(Federation, StallModeSlowsExchanges) {
   slow.stall_median_s = 6.0;
   slow.stall_sigma = 0.3;
 
+  // Whether an exchange overlaps a stall is down to the seeded Poisson
+  // block and report schedules. Over 8 exchanges the mean missed the 3x
+  // bar for about one seed in eight; 64 exchanges average that out.
   sim::Scenario s1(fast);
   s1.bootstrap();
-  s1.run_exchanges(8, 60 * util::kMinute);
+  s1.run_exchanges(64, 60 * util::kMinute);
 
   sim::Scenario s2(slow);
   s2.bootstrap();
-  s2.run_exchanges(8, 60 * util::kMinute);
+  s2.run_exchanges(64, 60 * util::kMinute);
 
-  ASSERT_GE(s1.latency_stats().count(), 8u);
-  ASSERT_GE(s2.latency_stats().count(), 8u);
+  ASSERT_GE(s1.latency_stats().count(), 64u);
+  ASSERT_GE(s2.latency_stats().count(), 64u);
   // Fig. 6 vs Fig. 5: an order-of-magnitude separation.
   EXPECT_GT(s2.latency_stats().mean(), 3.0 * s1.latency_stats().mean());
 }

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <set>
+#include <vector>
+
 #include "bignum/biguint.hpp"
 #include "bignum/montgomery.hpp"
 #include "bignum/primes.hpp"
@@ -246,6 +250,81 @@ TEST(Primes, GeneratePrimeHasExactBits) {
   }
 }
 
+TEST(Primes, ExactBelowTwoToTheTwenty) {
+  // Every n < 2^20 against a sieve of Eratosthenes. Squares of the primes
+  // just above 1000 (1009^2 = 1018081, 1021^2 = 1042441) are below 2^20,
+  // so trial division must reach 1021 for the short cut to be exact.
+  constexpr std::uint32_t kLimit = 1u << 20;
+  std::vector<bool> prime(kLimit, true);
+  prime[0] = prime[1] = false;
+  for (std::uint32_t i = 2; i * i < kLimit; ++i) {
+    if (!prime[i]) continue;
+    for (std::uint32_t j = i * i; j < kLimit; j += i) prime[j] = false;
+  }
+  Rng rng(11);
+  for (std::uint32_t n = 0; n < kLimit; ++n) {
+    ASSERT_EQ(is_probable_prime(BigUint(n), rng), prime[n]) << n;
+  }
+}
+
+bool prime_by_trial_division(std::uint64_t n) {
+  if (n < 2) return false;
+  for (std::uint64_t d = 2; d * d <= n; ++d) {
+    if (n % d == 0) return false;
+  }
+  return true;
+}
+
+TEST(Primes, GeneratePrimeSmallWidthsExhaustivelyPrime) {
+  Rng rng(12);
+  for (std::size_t bits = 8; bits <= 24; ++bits) {
+    for (int draw = 0; draw < 16; ++draw) {
+      const BigUint p = generate_prime(rng, bits);
+      ASSERT_EQ(p.bit_length(), bits);
+      EXPECT_TRUE(p.bit(bits - 2)) << p.to_u64();
+      EXPECT_TRUE(prime_by_trial_division(p.to_u64()))
+          << "bits=" << bits << " p=" << p.to_u64();
+    }
+  }
+}
+
+TEST(Primes, GeneratePrimeRsaWidthsShapeAndPrimality) {
+  Rng rng(13);
+  Rng check(14);  // independent bases for the verdict
+  for (std::size_t bits : {128u, 256u, 384u}) {
+    for (int draw = 0; draw < 3; ++draw) {
+      const BigUint p = generate_prime(rng, bits);
+      EXPECT_EQ(p.bit_length(), bits);
+      EXPECT_TRUE(p.bit(bits - 2));
+      EXPECT_FALSE(p.is_even());
+      EXPECT_TRUE(is_probable_prime(p, check)) << "bits=" << bits;
+    }
+  }
+}
+
+TEST(Primes, GeneratePrimeWindowNeverLeavesTheTopTwoBits) {
+  // At 8 and 9 bits a window of odd offsets runs past 2^bits from most
+  // starts; no result may gain a bit or lose the second-highest one, and
+  // the search must still reach every prime of the right shape.
+  Rng rng(15);
+  for (std::size_t bits : {8u, 9u}) {
+    const std::uint64_t lo = 3ULL << (bits - 2);
+    const std::uint64_t hi = 1ULL << bits;
+    std::set<std::uint64_t> want;
+    for (std::uint64_t n = lo; n < hi; ++n) {
+      if (prime_by_trial_division(n)) want.insert(n);
+    }
+    std::set<std::uint64_t> seen;
+    for (int draw = 0; draw < 2000; ++draw) {
+      const std::uint64_t p = generate_prime(rng, bits).to_u64();
+      ASSERT_GE(p, lo) << "bits=" << bits;
+      ASSERT_LT(p, hi) << "bits=" << bits;
+      seen.insert(p);
+    }
+    EXPECT_EQ(seen, want) << "bits=" << bits;
+  }
+}
+
 TEST(Primes, GenerateRsaPrimeCoprimality) {
   Rng rng(10);
   const BigUint e(65537);
@@ -305,6 +384,98 @@ TEST(Montgomery, DifferentialModExpAcrossWidths) {
       const BigUint exp = BigUint::random_bits(rng, 96);
       EXPECT_EQ(ctx.mod_exp(base, exp), BigUint::mod_exp_basic(base, exp, m))
           << "bits=" << bits << " round=" << round;
+    }
+  }
+}
+
+// Moduli with exactly `bits` bits. An odd count of BigUint's 32-bit limbs
+// (65, 96, 160, 257, 544, 1056 bits) leaves the context's top 64-bit limb
+// half empty; the rest sit on either side of a 64-bit boundary.
+BigUint odd_modulus_with_bits(Rng& rng, std::size_t bits) {
+  BigUint m = random_odd_modulus(rng, bits);
+  if (!m.bit(bits - 1)) m = m + (BigUint(1) << (bits - 1));
+  return m;
+}
+
+constexpr std::size_t kOddWidths[] = {33,  63,  64,  65,  96,  160,
+                                      255, 256, 257, 544, 1056};
+
+TEST(Montgomery, DifferentialModMulAtOddLimbWidths) {
+  Rng rng(110);
+  for (std::size_t bits : kOddWidths) {
+    const BigUint m = odd_modulus_with_bits(rng, bits);
+    ASSERT_EQ(m.bit_length(), bits);
+    const MontgomeryCtx ctx(m);
+    const BigUint m_minus_1 = m - BigUint(1);
+    // Operands >= m, including m itself, must reduce like the reference.
+    const std::vector<BigUint> wide = {
+        m, m + BigUint(1), m + m_minus_1,
+        m + BigUint::random_bits(rng, bits + 64),
+        m * BigUint::random_bits(rng, 40) + BigUint::random_bits(rng, bits)};
+    for (const BigUint& a : wide) {
+      const BigUint b = BigUint::random_bits(rng, bits);
+      EXPECT_EQ(ctx.mod_mul(a, b), BigUint::mod_mul_basic(a, b, m))
+          << "bits=" << bits;
+      EXPECT_EQ(ctx.mod_mul(b, a), BigUint::mod_mul_basic(b, a, m))
+          << "bits=" << bits;
+      EXPECT_EQ(ctx.mod_mul(a, a), BigUint::mod_mul_basic(a, a, m))
+          << "bits=" << bits;
+    }
+    EXPECT_EQ(ctx.mod_mul(m_minus_1, m_minus_1), BigUint(1)) << bits;
+  }
+}
+
+TEST(Montgomery, DifferentialModExpAtOddLimbWidths) {
+  Rng rng(111);
+  for (std::size_t bits : kOddWidths) {
+    const BigUint m = odd_modulus_with_bits(rng, bits);
+    const MontgomeryCtx ctx(m);
+    const BigUint m_minus_1 = m - BigUint(1);
+    const std::vector<BigUint> bases = {
+        BigUint::random_bits(rng, bits), m + BigUint::random_bits(rng, bits),
+        m, m_minus_1, BigUint(2)};
+    const std::vector<BigUint> exps = {BigUint(), BigUint(1), m_minus_1,
+                                       BigUint::random_bits(rng, bits)};
+    for (const BigUint& base : bases) {
+      for (const BigUint& exp : exps) {
+        EXPECT_EQ(ctx.mod_exp(base, exp), BigUint::mod_exp_basic(base, exp, m))
+            << "bits=" << bits << " exp=" << exp.to_hex();
+      }
+    }
+  }
+}
+
+TEST(Montgomery, StrongProbablePrimeMatchesReferenceRound) {
+  // One Miller-Rabin round computed with the reference path: base^d, then
+  // up to r-1 squarings, looking for m-1.
+  const auto reference = [](const BigUint& m, const BigUint& base,
+                            const BigUint& d, std::size_t r) {
+    const BigUint m_minus_1 = m - BigUint(1);
+    BigUint x = BigUint::mod_exp_basic(base, d, m);
+    if (x.is_one() || x == m_minus_1) return true;
+    for (std::size_t i = 1; i < r; ++i) {
+      x = BigUint::mod_mul_basic(x, x, m);
+      if (x == m_minus_1) return true;
+    }
+    return false;
+  };
+  Rng rng(112);
+  for (std::size_t bits : kOddWidths) {
+    // A prime (every base passes) and a random odd modulus (most fail).
+    for (const BigUint& m :
+         {generate_prime(rng, bits), odd_modulus_with_bits(rng, bits)}) {
+      const BigUint m_minus_1 = m - BigUint(1);
+      std::size_t r = 1;
+      while (!m_minus_1.bit(r)) ++r;
+      const BigUint d = m_minus_1 >> r;
+      const MontgomeryCtx ctx(m);
+      for (int round = 0; round < 4; ++round) {
+        const BigUint base =
+            BigUint::random_below(rng, m - BigUint(3)) + BigUint(2);
+        EXPECT_EQ(ctx.strong_probable_prime(base, d, r),
+                  reference(m, base, d, r))
+            << "bits=" << bits << " m=" << m.to_hex();
+      }
     }
   }
 }

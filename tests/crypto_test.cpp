@@ -6,6 +6,7 @@
 #include <thread>
 #include <vector>
 
+#include "bignum/montgomery.hpp"
 #include "crypto/aes.hpp"
 #include "crypto/base58.hpp"
 #include "crypto/ecdsa.hpp"
@@ -361,6 +362,18 @@ TEST(Rsa, LargerModuli) {
     EXPECT_EQ(rsa_decrypt(kp.priv, ct), msg);
     EXPECT_TRUE(rsa_verify(kp.pub, msg, rsa_sign(kp.priv, msg)));
   }
+}
+
+TEST_F(RsaFixture, KeygenLeavesCachedMontgomeryContextsAlone) {
+  // Each prime candidate's Miller-Rabin context is throwaway. Routing them
+  // through the 64-entry thread-local MRU flushed the federation's RSA and
+  // secp256k1 contexts after a few keygens; a held key's context must still
+  // be the cached one afterwards.
+  const auto ctx = bignum::MontgomeryCtx::cached(pair512().pub.n);
+  ASSERT_NE(ctx, nullptr);
+  Rng rng(107);
+  for (int i = 0; i < 4; ++i) (void)rsa_generate(rng, 512);
+  EXPECT_EQ(bignum::MontgomeryCtx::cached(pair512().pub.n).get(), ctx.get());
 }
 
 // --- RSA-CRT fast path vs the full-width reference ---
