@@ -9,6 +9,7 @@
 #include "crypto/ecdsa.hpp"
 #include "crypto/ripemd160.hpp"
 #include "crypto/rsa.hpp"
+#include "crypto/secp256k1_field.hpp"
 #include "crypto/sha256.hpp"
 #include "util/rng.hpp"
 
@@ -172,6 +173,53 @@ void BM_EcdsaVerify(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EcdsaVerify)->Unit(benchmark::kMillisecond);
+
+// Verify split: one ecdsa_verify is a scalar inverse (s^-1 mod n), one
+// Shamir double-scalar multiply u1*G + u2*Q, which ends in one field
+// inversion, and the on-curve and range checks. The field multiply is the
+// unit all point arithmetic is built from.
+void BM_EcMulGen(benchmark::State& state) {
+  util::Rng rng(17);
+  const bignum::BigUint k =
+      bignum::BigUint::random_below(rng, crypto::Secp256k1::n());
+  for (auto _ : state) benchmark::DoNotOptimize(crypto::ec_mul_gen_wnaf(k));
+}
+BENCHMARK(BM_EcMulGen)->Unit(benchmark::kMicrosecond);
+
+void BM_EcShamir(benchmark::State& state) {
+  util::Rng rng(18);
+  const bignum::BigUint& n = crypto::Secp256k1::n();
+  const bignum::BigUint u1 = bignum::BigUint::random_below(rng, n);
+  const bignum::BigUint u2 = bignum::BigUint::random_below(rng, n);
+  const crypto::EcPoint q = crypto::ec_generate(rng).pub;
+  for (auto _ : state) benchmark::DoNotOptimize(crypto::ec_shamir(u1, u2, q));
+}
+BENCHMARK(BM_EcShamir)->Unit(benchmark::kMicrosecond);
+
+void BM_ScalarInverse(benchmark::State& state) {
+  util::Rng rng(19);
+  const bignum::BigUint& n = crypto::Secp256k1::n();
+  const bignum::BigUint x =
+      bignum::BigUint::random_below(rng, n - bignum::BigUint(1)) +
+      bignum::BigUint(1);
+  for (auto _ : state) benchmark::DoNotOptimize(crypto::detail::scalar_inv(x));
+}
+BENCHMARK(BM_ScalarInverse)->Unit(benchmark::kMicrosecond);
+
+void BM_Secp256k1FieldMul(benchmark::State& state) {
+  util::Rng rng(20);
+  const bignum::BigUint& p = crypto::Secp256k1::p();
+  crypto::detail::Fe a = crypto::detail::fe_from_biguint(
+      bignum::BigUint::from_bytes_be(rng.bytes(32)) % p);
+  const crypto::detail::Fe b = crypto::detail::fe_from_biguint(
+      bignum::BigUint::from_bytes_be(rng.bytes(32)) % p);
+  // Chained, so each multiply waits on the last: latency, as in a ladder.
+  for (auto _ : state) {
+    crypto::detail::fe_mul(a, b, a);
+    benchmark::DoNotOptimize(a);
+  }
+}
+BENCHMARK(BM_Secp256k1FieldMul);
 
 }  // namespace
 

@@ -15,8 +15,9 @@
 // the first-sync / adversarial-flood regime):
 //
 //   cold_reference             Montgomery on, reference ECDSA ladder
-//   cold_wnaf                  + windowed-NAF scalar mul, Jacobian coords
-//   cold_shamir                + Shamir's trick (u1*G + u2*Q in one pass)
+//   cold_shamir                fixed-width 4x64-bit field core, wNAF
+//                              recoding, Shamir's trick (u1*G + u2*Q in one
+//                              pass), Jacobian coords, Fermat inversions
 //   cold_shamir_t8             + 8-thread check queue
 //
 // plus an OP_CHECKRSA512PAIR reveal block timed with the plain full-width
@@ -180,10 +181,10 @@ int main() {
                       r3.tx_failure.error == r4.tx_failure.error &&
                       r3.tx_failure.script_error == r4.tx_failure.script_error;
 
-    // Cross-check the ECDSA backends the same way: the wNAF/Shamir fast
-    // paths must accept the valid block and reject the corrupted one at the
-    // same transaction with the same error as the reference ladder.
-    for (const char* backend : {"reference", "wnaf", "shamir"}) {
+    // Cross-check the ECDSA backends the same way: the Shamir fast path
+    // must accept the valid block and reject the corrupted one at the same
+    // transaction with the same error as the reference ladder.
+    for (const char* backend : {"reference", "shamir"}) {
       if (!crypto::ecdsa_select_backend(backend)) {
         verdicts_match = false;
         break;
@@ -259,9 +260,8 @@ int main() {
   // Cold-path ablation: sigcache off, so every connect verifies every
   // signature. serial_montgomery above doubles as the reference-crypto
   // datum (cold_reference repeats it under its ablation name so the
-  // quartet reads off one table).
+  // trio reads off one table).
   results.push_back(measure("cold_reference", 1, false, true, "reference"));
-  results.push_back(measure("cold_wnaf", 1, false, true, "wnaf"));
   results.push_back(measure("cold_shamir", 1, false, true, "shamir"));
   results.push_back(measure("cold_shamir_t8", 8, false, true, "shamir"));
   bignum::set_montgomery_enabled(true);

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "crypto/hmac.hpp"
+#include "crypto/secp256k1_field.hpp"
 #include "util/serial.hpp"
 
 namespace bcwan::crypto {
@@ -164,6 +165,17 @@ bool Secp256k1::on_curve(const EcPoint& point) {
   return lhs == rhs;
 }
 
+std::optional<BigUint> detail::scalar_inv(const BigUint& x) {
+  // n is prime, so x^(n-2) = x^-1 for x != 0 (mod n). BigUint::mod_exp runs
+  // it on the thread's cached Montgomery context for n (~320 fixed-width
+  // multiplies), where extended Euclid pays ~190 allocating divisions.
+  const BigUint& n = order_n();
+  const BigUint r = x % n;
+  if (r.is_zero()) return std::nullopt;
+  static const BigUint n_minus_2 = n - BigUint(2);
+  return BigUint::mod_exp(r, n_minus_2, n);
+}
+
 util::Bytes EcdsaSignature::serialize() const {
   return util::concat({r.to_bytes_be(32), s.to_bytes_be(32)});
 }
@@ -232,7 +244,7 @@ EcdsaSignature ecdsa_sign_digest(const BigUint& priv, const Digest256& digest) {
     if (rp.infinity) continue;
     const BigUint r = rp.x % n;
     if (r.is_zero()) continue;
-    const auto k_inv = BigUint::mod_inv(k, n);
+    const auto k_inv = detail::scalar_inv(k);
     if (!k_inv) continue;
     BigUint s = BigUint::mod_mul(
         *k_inv, BigUint::mod_add(z, BigUint::mod_mul(r, priv, n), n), n);
@@ -257,7 +269,7 @@ bool ecdsa_verify_digest(const EcPoint& pub, const Digest256& digest,
 
   const BigUint z =
       BigUint::from_bytes_be(util::ByteView(digest.data(), digest.size())) % n;
-  const auto s_inv = BigUint::mod_inv(sig.s, n);
+  const auto s_inv = detail::scalar_inv(sig.s);
   if (!s_inv) return false;
   const BigUint u1 = BigUint::mod_mul(z, *s_inv, n);
   const BigUint u2 = BigUint::mod_mul(sig.r, *s_inv, n);
@@ -268,15 +280,6 @@ bool ecdsa_verify_digest(const EcPoint& pub, const Digest256& digest,
       // both u1*G (mixed adds against the shared fixed-base table) and
       // u2*Q, with one field inversion at the very end.
       const EcPoint sum = ec_shamir(u1, u2, pub);
-      if (sum.infinity) return false;
-      return sum.x % n == sig.r;
-    }
-    case EcdsaBackend::kWnaf: {
-      // Ablation midpoint: both scalar muls on the wNAF fast core, but
-      // combined through the reference affine addition (two extra
-      // inversions vs Shamir — exactly what the bench isolates).
-      const EcPoint sum =
-          Secp256k1::add(ec_mul_gen_wnaf(u1), ec_mul_wnaf(u2, pub));
       if (sum.infinity) return false;
       return sum.x % n == sig.r;
     }

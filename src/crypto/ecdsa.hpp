@@ -36,7 +36,7 @@ struct EcPoint {
 
 /// secp256k1 group operations and parameters. `mul` is the *reference*
 /// double-and-add ladder over BigUint field arithmetic — deliberately left
-/// untouched so the wNAF/Shamir fast paths below always have a differential
+/// untouched so the Shamir fast path below always has a differential
 /// oracle to answer to (the `mod_exp_basic`/Montgomery split in bignum/ is
 /// the template).
 class Secp256k1 {
@@ -52,23 +52,22 @@ class Secp256k1 {
 
 // --- Cold-path fast scalar multiplication (secp256k1_fast.cpp) -------------
 //
-// A dedicated fixed-width field core (8x32 limbs, Montgomery domain, one
-// CIOS pass per multiply, no heap) plus windowed-NAF recoding. Precomputed
-// odd-multiple tables for the generator are built exactly once (race-free
-// magic-static init) and shared by every thread; `ecdsa_sign_digest` and
+// A dedicated fixed-width field core (4x64-bit limbs in plain form, a 4x4
+// schoolbook multiply folded with 2^256 = 0x1000003D1 mod p, Fermat
+// inversion, no heap) plus windowed-NAF recoding. Precomputed odd-multiple
+// tables for the generator are built exactly once (race-free magic-static
+// init) and shared by every thread; `ecdsa_sign_digest` and
 // `ecdsa_verify_digest` dispatch onto these according to the selected
-// backend. All three functions reduce `k` mod n first, exactly like
+// backend. Both functions reduce their scalars mod n first, exactly like
 // Secp256k1::mul, so they are drop-in interchangeable with the oracle.
-
-/// k * point via 5-bit wNAF over a per-call odd-multiple table.
-EcPoint ec_mul_wnaf(const bignum::BigUint& k, const EcPoint& point);
 
 /// k * G via 7-bit wNAF over the shared precomputed generator table.
 EcPoint ec_mul_gen_wnaf(const bignum::BigUint& k);
 
 /// u1*G + u2*Q in a single interleaved double-scalar pass (Shamir's trick):
 /// one shared doubling chain, mixed additions against the fixed-base table,
-/// Jacobian coordinates throughout with one final inversion.
+/// 5-bit wNAF over a per-call odd-multiple table of Q, Jacobian coordinates
+/// throughout with one final inversion. ec_shamir(0, k, Q) is k * Q.
 EcPoint ec_shamir(const bignum::BigUint& u1, const bignum::BigUint& u2,
                   const EcPoint& q);
 
@@ -76,12 +75,11 @@ EcPoint ec_shamir(const bignum::BigUint& u1, const bignum::BigUint& u2,
 EcPoint ec_mul_gen(const bignum::BigUint& k);
 
 /// ECDSA backend pin, mirroring BCWAN_SHA256_BACKEND: the environment
-/// variable BCWAN_ECDSA_BACKEND=reference|wnaf|shamir pins the dispatch for
-/// the whole run (CI runs the suite once with `reference` forced so a
-/// silent fast-path divergence cannot hide behind its own code). `auto`
-/// resolves to shamir. Unknown names leave the selection unchanged and
-/// return false.
-enum class EcdsaBackend { kReference, kWnaf, kShamir };
+/// variable BCWAN_ECDSA_BACKEND=reference|shamir pins the dispatch for the
+/// whole run (CI runs the suite once with `reference` forced so a silent
+/// fast-path divergence cannot hide behind its own code). `auto` resolves
+/// to shamir. Unknown names leave the selection unchanged and return false.
+enum class EcdsaBackend { kReference, kShamir };
 EcdsaBackend ecdsa_backend() noexcept;
 bool ecdsa_select_backend(std::string_view name) noexcept;
 const char* ecdsa_backend_name() noexcept;

@@ -1,14 +1,19 @@
 // Cold-path secp256k1 fast scalar multiplication.
 //
 // The reference ladder in ecdsa.cpp routes every field multiply through
-// BigUint::mod_mul: a thread-local context lookup, two heap-allocated limb
-// conversions and *two* CIOS passes (to-Montgomery, then multiply) per
-// multiplication. At ~3800 field multiplies per scalar mul that is the
-// entire cold-verification budget. This TU replaces the inner loop with a
-// fixed-width field core:
+// BigUint::mod_mul: a thread-local context lookup, heap-allocated limb
+// conversions and two Montgomery passes per multiplication. At ~3800 field
+// multiplies per scalar mul that is the entire cold-verification budget.
+// This TU replaces the inner loop with a fixed-width field core:
 //
-//   * field elements are 8x32-bit limb arrays kept in the Montgomery domain
-//     end to end — one CIOS pass per multiply, stack scratch, no allocation;
+//   * field elements are 4x64-bit limbs in plain form, always reduced to
+//     [0, p); a multiply is a 4x4 schoolbook product in 128-bit
+//     intermediates whose high half is folded in with
+//     2^256 = 0x1000003D1 (mod p) twice, then one conditional subtract —
+//     stack scratch, no allocation, no domain conversions;
+//   * inversion is Fermat, a^(p-2), over the standard secp256k1 addition
+//     chain (255 squarings, 15 multiplies), so no BigUint division runs on
+//     the fast path;
 //   * point arithmetic mirrors the reference Jacobian formulas exactly
 //     (same dbl-2007-b / add structure, so a formula bug diverges loudly in
 //     the differential tests rather than subtly in a corner);
@@ -23,9 +28,9 @@
 //
 // Everything here is differentially tested against Secp256k1::mul (the
 // untouched reference oracle) including the edge scalars 0, 1, n-1, n and
-// point-at-infinity inputs; BCWAN_ECDSA_BACKEND=reference forces the whole
+// point-at-infinity inputs, and the field operations against BigUint mod p
+// (secp256k1_field.hpp); BCWAN_ECDSA_BACKEND=reference forces the whole
 // suite back onto the oracle.
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -34,177 +39,216 @@
 
 #include "bignum/montgomery.hpp"
 #include "crypto/ecdsa.hpp"
+#include "crypto/secp256k1_field.hpp"
 
 namespace bcwan::crypto {
 
 using bignum::BigUint;
 
+// --- Fixed-width field arithmetic mod p, plain form ------------------------
+
+namespace detail {
+
 namespace {
 
-// --- Fixed-width field arithmetic mod p, Montgomery domain -----------------
+using Wide = unsigned __int128;
 
-constexpr std::size_t kLimbs = 8;
+constexpr std::uint64_t lo(Wide w) { return static_cast<std::uint64_t>(w); }
 
-// p = 2^256 - 2^32 - 977, little-endian 32-bit limbs.
-constexpr std::uint32_t kP[kLimbs] = {0xfffffc2f, 0xfffffffe, 0xffffffff,
-                                      0xffffffff, 0xffffffff, 0xffffffff,
-                                      0xffffffff, 0xffffffff};
+// 2^256 mod p = 2^32 + 977: p = 2^256 - kFold.
+constexpr std::uint64_t kFold = 0x1000003D1;
 
-// -p[0]^-1 mod 2^32 (Newton iteration result, checked in ctx init).
-constexpr std::uint32_t kN0Inv = 0xd2253531;
+// p = 2^256 - 2^32 - 977, little-endian 64-bit limbs.
+constexpr std::uint64_t kP[4] = {0xFFFFFFFEFFFFFC2F, 0xFFFFFFFFFFFFFFFF,
+                                 0xFFFFFFFFFFFFFFFF, 0xFFFFFFFFFFFFFFFF};
 
-struct Fe {
-  std::uint32_t v[kLimbs];
-};
+/// Final reduction of v = r + overflow * 2^256, for v < 2p: subtracting p
+/// is adding kFold mod 2^256, and it is due exactly when v >= 2^256 or when
+/// r + kFold carries past 2^256 (r >= p).
+void fe_settle(const std::uint64_t r[4], bool overflow, Fe& out) {
+  std::uint64_t s[4];
+  Wide acc = static_cast<Wide>(r[0]) + kFold;
+  s[0] = lo(acc);
+  for (int i = 1; i < 4; ++i) {
+    acc = (acc >> 64) + r[i];
+    s[i] = lo(acc);
+  }
+  const bool carry = (acc >> 64) != 0;
+  std::memcpy(out.v, overflow || carry ? s : r, sizeof out.v);
+}
+
+/// 512-bit product t -> t mod p. First fold: t_lo + t_hi * kFold, which
+/// fits in 256 + 34 bits; second fold: the 34-bit top limb times kFold into
+/// the low four limbs, which may carry past 2^256 once more. The value is
+/// then below 2^256 + 2^67 < 2p, so fe_settle finishes it.
+void fe_reduce(const std::uint64_t t[8], Fe& out) {
+  std::uint64_t r[4];
+  Wide acc = static_cast<Wide>(t[4]) * kFold + t[0];
+  r[0] = lo(acc);
+  for (int i = 1; i < 4; ++i) {
+    acc = (acc >> 64) + static_cast<Wide>(t[4 + i]) * kFold + t[i];
+    r[i] = lo(acc);
+  }
+  const std::uint64_t top = lo(acc >> 64);
+
+  acc = static_cast<Wide>(top) * kFold + r[0];
+  r[0] = lo(acc);
+  for (int i = 1; i < 4; ++i) {
+    acc = (acc >> 64) + r[i];
+    r[i] = lo(acc);
+  }
+  fe_settle(r, (acc >> 64) != 0, out);
+}
+
+/// out = a^(2^n): n successive squarings.
+void fe_sqr_n(const Fe& a, int n, Fe& out) {
+  out = a;
+  for (int i = 0; i < n; ++i) fe_sqr(out, out);
+}
+
+}  // namespace
+
+Fe fe_from_biguint(const BigUint& v) {
+  const util::Bytes be = (v % Secp256k1::p()).to_bytes_be(32);
+  Fe out;
+  for (std::size_t i = 0; i < 4; ++i) {
+    std::uint64_t limb = 0;
+    for (std::size_t b = 0; b < 8; ++b) limb = limb << 8 | be[24 - 8 * i + b];
+    out.v[i] = limb;
+  }
+  return out;
+}
+
+BigUint fe_to_biguint(const Fe& a) {
+  util::Bytes be(32);
+  for (std::size_t i = 0; i < 4; ++i)
+    for (std::size_t b = 0; b < 8; ++b)
+      be[24 - 8 * i + b] = static_cast<std::uint8_t>(a.v[i] >> (56 - 8 * b));
+  return BigUint::from_bytes_be(be);
+}
+
+void fe_mul(const Fe& a, const Fe& b, Fe& out) {
+  std::uint64_t t[8] = {0};
+  for (int i = 0; i < 4; ++i) {
+    Wide acc = 0;
+    for (int j = 0; j < 4; ++j) {
+      acc = (acc >> 64) + static_cast<Wide>(a.v[i]) * b.v[j] + t[i + j];
+      t[i + j] = lo(acc);
+    }
+    t[i + 4] = lo(acc >> 64);
+  }
+  fe_reduce(t, out);
+}
+
+void fe_sqr(const Fe& a, Fe& out) { fe_mul(a, a, out); }
+
+void fe_add(const Fe& a, const Fe& b, Fe& out) {
+  std::uint64_t s[4];
+  Wide acc = 0;
+  for (int i = 0; i < 4; ++i) {
+    acc = (acc >> 64) + a.v[i] + b.v[i];
+    s[i] = lo(acc);
+  }
+  fe_settle(s, (acc >> 64) != 0, out);
+}
+
+void fe_sub(const Fe& a, const Fe& b, Fe& out) {
+  std::uint64_t d[4];
+  std::uint64_t borrow = 0;
+  for (int i = 0; i < 4; ++i) {
+    const Wide diff = static_cast<Wide>(a.v[i]) - b.v[i] - borrow;
+    d[i] = lo(diff);
+    borrow = lo(diff >> 64) & 1;
+  }
+  if (borrow != 0) {
+    // a - b + 2^256 is in the limbs; a - b + p = that - kFold.
+    borrow = kFold;
+    for (int i = 0; i < 4; ++i) {
+      const Wide diff = static_cast<Wide>(d[i]) - borrow;
+      d[i] = lo(diff);
+      borrow = lo(diff >> 64) & 1;
+    }
+  }
+  std::memcpy(out.v, d, sizeof out.v);
+}
+
+void fe_neg(const Fe& a, Fe& out) {
+  if ((a.v[0] | a.v[1] | a.v[2] | a.v[3]) == 0) {
+    out = a;
+    return;
+  }
+  std::uint64_t borrow = 0;
+  for (int i = 0; i < 4; ++i) {
+    const Wide diff = static_cast<Wide>(kP[i]) - a.v[i] - borrow;
+    out.v[i] = lo(diff);
+    borrow = lo(diff >> 64) & 1;
+  }
+}
+
+void fe_inv(const Fe& a, Fe& out) {
+  // p - 2 = 2^256 - 2^32 - 979: 223 ones, a zero, 22 ones, then 0000101101.
+  // xk denotes a^(2^k - 1), a run of k one bits.
+  Fe x2, x3, x6, x9, x11, x22, x44, x88, x176, x220, x223, t;
+  fe_sqr(a, x2);
+  fe_mul(x2, a, x2);
+  fe_sqr(x2, x3);
+  fe_mul(x3, a, x3);
+  fe_sqr_n(x3, 3, x6);
+  fe_mul(x6, x3, x6);
+  fe_sqr_n(x6, 3, x9);
+  fe_mul(x9, x3, x9);
+  fe_sqr_n(x9, 2, x11);
+  fe_mul(x11, x2, x11);
+  fe_sqr_n(x11, 11, x22);
+  fe_mul(x22, x11, x22);
+  fe_sqr_n(x22, 22, x44);
+  fe_mul(x44, x22, x44);
+  fe_sqr_n(x44, 44, x88);
+  fe_mul(x88, x44, x88);
+  fe_sqr_n(x88, 88, x176);
+  fe_mul(x176, x88, x176);
+  fe_sqr_n(x176, 44, x220);
+  fe_mul(x220, x44, x220);
+  fe_sqr_n(x220, 3, x223);
+  fe_mul(x223, x3, x223);
+  // Tail: shift in 0 + 22 ones, 00001, 011, 01.
+  fe_sqr_n(x223, 23, t);
+  fe_mul(t, x22, t);
+  fe_sqr_n(t, 5, t);
+  fe_mul(t, a, t);
+  fe_sqr_n(t, 3, t);
+  fe_mul(t, x2, t);
+  fe_sqr_n(t, 2, t);
+  fe_mul(t, a, out);
+}
+
+}  // namespace detail
+
+namespace {
+
+using detail::Fe;
+using detail::fe_add;
+using detail::fe_from_biguint;
+using detail::fe_inv;
+using detail::fe_mul;
+using detail::fe_neg;
+using detail::fe_sqr;
+using detail::fe_sub;
+using detail::fe_to_biguint;
 
 bool fe_eq(const Fe& a, const Fe& b) {
   return std::memcmp(a.v, b.v, sizeof a.v) == 0;
 }
 
 bool fe_is_zero(const Fe& a) {
-  std::uint32_t acc = 0;
-  for (std::uint32_t limb : a.v) acc |= limb;
-  return acc == 0;
-}
-
-/// out = a * b * R^-1 mod p — single CIOS (operand-scanning) pass, fixed
-/// 8x32-bit limbs, stack scratch, so the compiler can fully unroll against
-/// the constant modulus.
-void fe_mul(const Fe& a, const Fe& b, Fe& out) {
-  std::uint32_t t[kLimbs + 2] = {0};
-  for (std::size_t i = 0; i < kLimbs; ++i) {
-    const std::uint64_t ai = a.v[i];
-    std::uint64_t carry = 0;
-    for (std::size_t j = 0; j < kLimbs; ++j) {
-      const std::uint64_t cur = t[j] + ai * b.v[j] + carry;
-      t[j] = static_cast<std::uint32_t>(cur);
-      carry = cur >> 32;
-    }
-    std::uint64_t cur = t[kLimbs] + carry;
-    t[kLimbs] = static_cast<std::uint32_t>(cur);
-    t[kLimbs + 1] = static_cast<std::uint32_t>(cur >> 32);
-
-    const std::uint32_t mi = t[0] * kN0Inv;
-    cur = t[0] + static_cast<std::uint64_t>(mi) * kP[0];
-    carry = cur >> 32;
-    for (std::size_t j = 1; j < kLimbs; ++j) {
-      cur = t[j] + static_cast<std::uint64_t>(mi) * kP[j] + carry;
-      t[j - 1] = static_cast<std::uint32_t>(cur);
-      carry = cur >> 32;
-    }
-    cur = t[kLimbs] + carry;
-    t[kLimbs - 1] = static_cast<std::uint32_t>(cur);
-    t[kLimbs] = t[kLimbs + 1] + static_cast<std::uint32_t>(cur >> 32);
-  }
-
-  bool ge = t[kLimbs] != 0;
-  if (!ge) {
-    ge = true;
-    for (std::size_t i = kLimbs; i-- > 0;) {
-      if (t[i] != kP[i]) {
-        ge = t[i] > kP[i];
-        break;
-      }
-    }
-  }
-  if (ge) {
-    std::int64_t borrow = 0;
-    for (std::size_t i = 0; i < kLimbs; ++i) {
-      std::int64_t diff = static_cast<std::int64_t>(t[i]) - kP[i] - borrow;
-      if (diff < 0) {
-        diff += static_cast<std::int64_t>(1) << 32;
-        borrow = 1;
-      } else {
-        borrow = 0;
-      }
-      out.v[i] = static_cast<std::uint32_t>(diff);
-    }
-  } else {
-    for (std::size_t i = 0; i < kLimbs; ++i) out.v[i] = t[i];
-  }
-}
-
-void fe_sqr(const Fe& a, Fe& out) { fe_mul(a, a, out); }
-
-void fe_add(const Fe& a, const Fe& b, Fe& out) {
-  std::uint64_t carry = 0;
-  for (std::size_t i = 0; i < kLimbs; ++i) {
-    carry += static_cast<std::uint64_t>(a.v[i]) + b.v[i];
-    out.v[i] = static_cast<std::uint32_t>(carry);
-    carry >>= 32;
-  }
-  bool ge = carry != 0;
-  if (!ge) {
-    ge = true;
-    for (std::size_t i = kLimbs; i-- > 0;) {
-      if (out.v[i] != kP[i]) {
-        ge = out.v[i] > kP[i];
-        break;
-      }
-    }
-  }
-  if (ge) {
-    std::int64_t borrow = 0;
-    for (std::size_t i = 0; i < kLimbs; ++i) {
-      std::int64_t diff = static_cast<std::int64_t>(out.v[i]) - kP[i] - borrow;
-      if (diff < 0) {
-        diff += static_cast<std::int64_t>(1) << 32;
-        borrow = 1;
-      } else {
-        borrow = 0;
-      }
-      out.v[i] = static_cast<std::uint32_t>(diff);
-    }
-  }
-}
-
-void fe_sub(const Fe& a, const Fe& b, Fe& out) {
-  std::int64_t borrow = 0;
-  for (std::size_t i = 0; i < kLimbs; ++i) {
-    std::int64_t diff = static_cast<std::int64_t>(a.v[i]) - b.v[i] - borrow;
-    if (diff < 0) {
-      diff += static_cast<std::int64_t>(1) << 32;
-      borrow = 1;
-    } else {
-      borrow = 0;
-    }
-    out.v[i] = static_cast<std::uint32_t>(diff);
-  }
-  if (borrow != 0) {
-    std::uint64_t carry = 0;
-    for (std::size_t i = 0; i < kLimbs; ++i) {
-      carry += static_cast<std::uint64_t>(out.v[i]) + kP[i];
-      out.v[i] = static_cast<std::uint32_t>(carry);
-      carry >>= 32;
-    }
-  }
+  return (a.v[0] | a.v[1] | a.v[2] | a.v[3]) == 0;
 }
 
 void fe_dbl(const Fe& a, Fe& out) { fe_add(a, a, out); }
 
-/// Additive negation commutes with the Montgomery map, so p - a negates in
-/// the domain too. neg(0) stays 0.
-void fe_neg(const Fe& a, Fe& out) {
-  if (fe_is_zero(a)) {
-    out = a;
-    return;
-  }
-  std::int64_t borrow = 0;
-  for (std::size_t i = 0; i < kLimbs; ++i) {
-    std::int64_t diff = static_cast<std::int64_t>(kP[i]) - a.v[i] - borrow;
-    if (diff < 0) {
-      diff += static_cast<std::int64_t>(1) << 32;
-      borrow = 1;
-    } else {
-      borrow = 0;
-    }
-    out.v[i] = static_cast<std::uint32_t>(diff);
-  }
-}
+constexpr Fe kOne = {{1, 0, 0, 0}};
 
 // --- Point types -----------------------------------------------------------
-
-const Fe& fe_one();  // R mod p (1 in the Montgomery domain), from ctx()
 
 /// Jacobian projective point over Fe: x = X/Z^2, y = Y/Z^3.
 struct JPoint {
@@ -212,7 +256,7 @@ struct JPoint {
   bool infinity = true;
 };
 
-/// Affine table entry (never infinity), Montgomery domain.
+/// Affine table entry (never infinity).
 struct APoint {
   Fe x, y;
 };
@@ -305,7 +349,7 @@ void jp_add_affine(const JPoint& a, const APoint& b, JPoint& out) {
   if (a.infinity) {
     out.x = b.x;
     out.y = b.y;
-    out.z = fe_one();
+    out.z = kOne;
     out.infinity = false;
     return;
   }
@@ -351,39 +395,11 @@ constexpr std::size_t kGenTable = std::size_t{1} << (kGenWindow - 2);
 constexpr std::size_t kPtTable = std::size_t{1} << (kPtWindow - 2);
 
 struct FastCtx {
-  Fe r2;                           // R^2 mod p: the to-Montgomery factor
-  Fe one;                          // R mod p: 1 in the domain
-  APoint gen_tab[kGenTable];       // (2i+1) * G, affine, Montgomery domain
-  BigUint order;                   // n, for scalar reduction
+  APoint gen_tab[kGenTable];  // (2i+1) * G, affine
+  BigUint order;              // n, for scalar reduction
 
   FastCtx();
 };
-
-Fe fe_from_biguint_raw(const BigUint& v) {
-  // v < p; big-endian export, repack little-endian limbs.
-  const util::Bytes be = v.to_bytes_be(32);
-  Fe out;
-  for (std::size_t i = 0; i < kLimbs; ++i) {
-    const std::size_t o = 32 - 4 * (i + 1);
-    out.v[i] = static_cast<std::uint32_t>(be[o]) << 24 |
-               static_cast<std::uint32_t>(be[o + 1]) << 16 |
-               static_cast<std::uint32_t>(be[o + 2]) << 8 |
-               static_cast<std::uint32_t>(be[o + 3]);
-  }
-  return out;
-}
-
-BigUint fe_to_biguint_raw(const Fe& a) {
-  util::Bytes be(32);
-  for (std::size_t i = 0; i < kLimbs; ++i) {
-    const std::size_t o = 32 - 4 * (i + 1);
-    be[o] = static_cast<std::uint8_t>(a.v[i] >> 24);
-    be[o + 1] = static_cast<std::uint8_t>(a.v[i] >> 16);
-    be[o + 2] = static_cast<std::uint8_t>(a.v[i] >> 8);
-    be[o + 3] = static_cast<std::uint8_t>(a.v[i]);
-  }
-  return BigUint::from_bytes_be(be);
-}
 
 /// Race-free shared init: C++ magic static — the first caller builds the
 /// tables, concurrent callers block until it is published. No torn reads,
@@ -394,70 +410,36 @@ const FastCtx& ctx() {
   return c;
 }
 
-const Fe& fe_one() { return ctx().one; }
-
-Fe to_montgomery(const BigUint& v) {
-  Fe raw = fe_from_biguint_raw(v % Secp256k1::p());
-  Fe out;
-  fe_mul(raw, ctx().r2, out);
+/// Affine x = X/Z^2, y = Y/Z^3 for a finite Jacobian point.
+APoint to_affine(const JPoint& j) {
+  if (fe_is_zero(j.z)) throw std::logic_error("secp256k1_fast: non-invertible Z");
+  Fe zi, zi2, zi3;
+  fe_inv(j.z, zi);
+  fe_sqr(zi, zi2);
+  fe_mul(zi2, zi, zi3);
+  APoint out;
+  fe_mul(j.x, zi2, out.x);
+  fe_mul(j.y, zi3, out.y);
   return out;
 }
 
-BigUint from_montgomery(const Fe& a) {
-  Fe one_raw = {};
-  one_raw.v[0] = 1;
-  Fe std_form;
-  fe_mul(a, one_raw, std_form);  // mont(a, 1) = a * R^-1
-  return fe_to_biguint_raw(std_form);
-}
-
 FastCtx::FastCtx() {
-  const BigUint& p = Secp256k1::p();
-  // Sanity-check the hardcoded Montgomery constant against a from-scratch
-  // computation; a typo here would corrupt every field multiply.
-  std::uint32_t inv = 0xfffffc2f;
-  for (int i = 0; i < 4; ++i) inv *= 2 - 0xfffffc2fu * inv;
-  if (~inv + 1 != kN0Inv)
-    throw std::logic_error("secp256k1_fast: n0inv constant mismatch");
-
-  r2 = fe_from_biguint_raw((BigUint(1) << 512) % p);
-  one = fe_from_biguint_raw((BigUint(1) << 256) % p);
   order = Secp256k1::n();
 
   // Generator odd multiples 1G, 3G, ..., 63G: accumulate in Jacobian, then
   // normalize each entry to affine (one-time cost, shared forever).
   const EcPoint& g = Secp256k1::g();
   JPoint gj;
-  gj.x = [&] {
-    Fe raw = fe_from_biguint_raw(g.x), out;
-    fe_mul(raw, r2, out);
-    return out;
-  }();
-  gj.y = [&] {
-    Fe raw = fe_from_biguint_raw(g.y), out;
-    fe_mul(raw, r2, out);
-    return out;
-  }();
-  gj.z = one;
+  gj.x = fe_from_biguint(g.x);
+  gj.y = fe_from_biguint(g.y);
+  gj.z = kOne;
   gj.infinity = false;
 
   JPoint g2;
   jp_double(gj, g2);
   JPoint acc = gj;
   for (std::size_t i = 0; i < kGenTable; ++i) {
-    // Normalize acc = (2i+1)G to affine: x = X/Z^2, y = Y/Z^3.
-    const BigUint z = from_montgomery(acc.z);
-    const auto z_inv = BigUint::mod_inv(z, p);
-    if (!z_inv) throw std::logic_error("secp256k1_fast: table Z not invertible");
-    Fe zi, zi2, zi3;
-    {
-      Fe raw = fe_from_biguint_raw(*z_inv);
-      fe_mul(raw, r2, zi);
-    }
-    fe_sqr(zi, zi2);
-    fe_mul(zi2, zi, zi3);
-    fe_mul(acc.x, zi2, gen_tab[i].x);
-    fe_mul(acc.y, zi3, gen_tab[i].y);
+    gen_tab[i] = to_affine(acc);
     if (i + 1 < kGenTable) {
       JPoint next;
       jp_add(acc, g2, next);
@@ -548,29 +530,17 @@ std::size_t wnaf(const BigUint& k, int w, std::int8_t* out) {
 JPoint to_jpoint(const EcPoint& p) {
   JPoint out;
   if (p.infinity) return out;
-  out.x = to_montgomery(p.x);
-  out.y = to_montgomery(p.y);
-  out.z = ctx().one;
+  out.x = fe_from_biguint(p.x);
+  out.y = fe_from_biguint(p.y);
+  out.z = kOne;
   out.infinity = false;
   return out;
 }
 
 EcPoint from_jpoint(const JPoint& j) {
   if (j.infinity) return {BigUint{}, BigUint{}, true};
-  const BigUint& p = Secp256k1::p();
-  const BigUint z = from_montgomery(j.z);
-  const auto z_inv = BigUint::mod_inv(z, p);
-  if (!z_inv) throw std::logic_error("secp256k1_fast: non-invertible Z");
-  Fe zi, zi2, zi3, x, y;
-  {
-    Fe raw = fe_from_biguint_raw(*z_inv);
-    fe_mul(raw, ctx().r2, zi);
-  }
-  fe_sqr(zi, zi2);
-  fe_mul(zi2, zi, zi3);
-  fe_mul(j.x, zi2, x);
-  fe_mul(j.y, zi3, y);
-  return {from_montgomery(x), from_montgomery(y), false};
+  const APoint a = to_affine(j);
+  return {fe_to_biguint(a.x), fe_to_biguint(a.y), false};
 }
 
 /// Odd multiples 1Q, 3Q, ..., (2^(w-1)-1)Q in Jacobian form (normalizing
@@ -591,34 +561,6 @@ void jp_neg(const JPoint& a, JPoint& out) {
 }  // namespace
 
 // --- Public entry points ---------------------------------------------------
-
-EcPoint ec_mul_wnaf(const BigUint& k, const EcPoint& point) {
-  if (point.infinity) return {BigUint{}, BigUint{}, true};
-  const BigUint kr = k % ctx().order;
-  if (kr.is_zero()) return {BigUint{}, BigUint{}, true};
-
-  std::int8_t digits[kMaxDigits];
-  const std::size_t len = wnaf(kr, kPtWindow, digits);
-  JPoint tab[kPtTable];
-  build_pt_table(to_jpoint(point), tab);
-
-  JPoint acc, tmp;
-  for (std::size_t i = len; i-- > 0;) {
-    jp_double(acc, tmp);
-    acc = tmp;
-    const std::int8_t d = digits[i];
-    if (d > 0) {
-      jp_add(acc, tab[(d - 1) / 2], tmp);
-      acc = tmp;
-    } else if (d < 0) {
-      JPoint neg;
-      jp_neg(tab[(-d - 1) / 2], neg);
-      jp_add(acc, neg, tmp);
-      acc = tmp;
-    }
-  }
-  return from_jpoint(acc);
-}
 
 EcPoint ec_mul_gen_wnaf(const BigUint& k) {
   const FastCtx& c = ctx();
@@ -706,7 +648,6 @@ EcdsaBackend default_backend() {
     if (const char* env = std::getenv("BCWAN_ECDSA_BACKEND")) {
       const std::string_view name(env);
       if (name == "reference") return EcdsaBackend::kReference;
-      if (name == "wnaf") return EcdsaBackend::kWnaf;
       if (name == "shamir") return EcdsaBackend::kShamir;
     }
     return EcdsaBackend::kShamir;
@@ -729,8 +670,6 @@ bool ecdsa_select_backend(std::string_view name) noexcept {
   EcdsaBackend b;
   if (name == "reference") {
     b = EcdsaBackend::kReference;
-  } else if (name == "wnaf") {
-    b = EcdsaBackend::kWnaf;
   } else if (name == "shamir") {
     b = EcdsaBackend::kShamir;
   } else if (name == "auto") {
@@ -746,8 +685,6 @@ const char* ecdsa_backend_name() noexcept {
   switch (ecdsa_backend()) {
     case EcdsaBackend::kReference:
       return "reference";
-    case EcdsaBackend::kWnaf:
-      return "wnaf";
     case EcdsaBackend::kShamir:
       return "shamir";
   }

@@ -1052,7 +1052,7 @@ TEST(Validation, SerialAndParallelAgreeOnBadScript) {
 
 TEST(Validation, ColdConnectAgreesAcrossEcdsaBackends) {
   // A checkqueue-driven cold connect (caches flushed, 4 threads) under each
-  // ECDSA backend: the wNAF/Shamir fast paths must accept exactly what the
+  // ECDSA backend: the Shamir fast path must accept exactly what the
   // reference ladder accepts and leave identical UTXO state. Under TSan
   // this also exercises the one-time precomputation-table init and the
   // per-worker ecdsa_warmup calls racing across pool threads.
@@ -1062,7 +1062,7 @@ TEST(Validation, ColdConnectAgreesAcrossEcdsaBackends) {
 
   std::optional<std::size_t> utxo_size;
   std::optional<Amount> utxo_value;
-  for (const char* backend : {"reference", "wnaf", "shamir"}) {
+  for (const char* backend : {"reference", "shamir"}) {
     ASSERT_TRUE(crypto::ecdsa_select_backend(backend)) << backend;
     UtxoSet utxo = h.chain.utxo();
     ChainParams params = h.params;
